@@ -109,7 +109,7 @@ def negative_definite(d: Divisor) -> bool:
     k = len(seq)
     if k == 2:
         return seq[0] < 0 and seq[0] * seq[1] - 4 > 0
-    d_prev, d_cur = 1, 1
+    d_prev, d_cur = 0, 1
     for m in range(1, k):
         d_prev, d_cur = d_cur, seq[m - 1] * d_cur - d_prev
         if (-1) ** m * d_cur <= 0:
@@ -275,36 +275,19 @@ def rigidity_witness(
     if max_length < 2 or max_steps < 0:
         raise PreconditionError("bounds must be positive")
     start = _moves._canon_key(d)
+    children = _moves._toric_children(max_length, min_entry)
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     frontier = [start]
-    hit: tuple[int, ...] | None = None
-    hit_name = ""
     for depth in range(max_steps + 1):
         for key in frontier:
             match = _match_patterns(key)
             if match is not None:
-                hit_name, _ = match
-                hit = key
-                break
-        if hit is not None or depth == max_steps:
-            break
-        new_front = []
-        for key in sorted(frontier):
-            for child in _moves._child_keys(key, max_length, min_entry):
-                if child not in parents:
-                    parents[child] = key
-                    new_front.append(child)
-        frontier = sorted(set(new_front))
-        if not frontier:
-            break
-    if hit is None:
-        return None
-    path = [hit]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    word = _moves._realize_path(d, path, max_length, min_entry)
-    return RigidPattern(hit_name, SphereCycle(hit), word)
+                path = _moves._path_to(parents, key)
+                word = _moves._realize_path(d, path, max_length, min_entry)
+                return RigidPattern(match[0], SphereCycle(key), word)
+        if depth < max_steps:
+            frontier = sorted(_moves._bfs_layer(frontier, parents, children))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-range", required=True,
                    help="N for [-N, N] or lo:hi")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="validate a pair file and report constraints")

@@ -5,15 +5,14 @@ models by blow-up moves, so the generator takes the catalog pairs and
 closes them under toric and non-toric blow-ups within explicit bounds,
 deduplicating by canonical form.  Each emitted record carries provenance
 (minimal model plus move word) that replays to the sequence, and the
-invariants of the sequence.  Output order is (length, canonical sequence),
-independent of the worker count used for frontier expansion.
+invariants of the sequence.  The closure is explored breadth-first in a
+single thread; output order is (length, canonical sequence).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,7 +37,15 @@ from .homology import (
 )
 from .linalg import Inertia, determinant, inertia
 from .monodromy import monodromy
-from .moves import Move, MoveWord, NonToricBlowUp, ToricBlowUp, moves_to_obj
+from .moves import (
+    Move,
+    MoveWord,
+    NonToricBlowUp,
+    ToricBlowUp,
+    _bfs_layer,
+    _blow_up_edges,
+    moves_to_obj,
+)
 
 __all__ = [
     "Bounds",
@@ -201,7 +208,7 @@ class EnumRecord:
     contact: ContactType
 
     def word(self) -> MoveWord:
-        return MoveWord(minimal_model_divisor(self.case, self.param), self.moves)
+        return MoveWord(minimal_model(self.case, self.param).divisor, self.moves)
 
     def to_obj(self) -> dict:
         seq = {"torus": self.divisor.s} if isinstance(self.divisor, Torus) else list(self.divisor.seq)
@@ -215,10 +222,6 @@ class EnumRecord:
             "s_total": self.s_total,
             "contact": self.contact.value,
         }
-
-
-def minimal_model_divisor(case: str, param: int | None) -> Divisor:
-    return minimal_model(case, param).divisor
 
 
 @dataclass(frozen=True)
@@ -281,13 +284,10 @@ def _within_bounds(d: Divisor, bounds: Bounds) -> bool:
 def _move_candidates(d: Divisor, bounds: Bounds) -> list[Move]:
     if isinstance(d, Torus):
         return [NonToricBlowUp(0)] if d.s - 1 >= bounds.min_entry else []
-    k = len(d.seq)
-    out: list[Move] = []
-    if k + 1 <= bounds.max_length and -1 >= bounds.min_entry:
-        for e in range(k):
-            if d.seq[e] - 1 >= bounds.min_entry and d.seq[(e + 1) % k] - 1 >= bounds.min_entry:
-                out.append(ToricBlowUp(e))
-    for i in range(k):
+    out: list[Move] = [
+        ToricBlowUp(e) for e in _blow_up_edges(d.seq, bounds.max_length, bounds.min_entry)
+    ]
+    for i in range(len(d.seq)):
         if d.seq[i] - 1 >= bounds.min_entry:
             out.append(NonToricBlowUp(i))
     return out
@@ -331,70 +331,64 @@ def _index_memory_guard(index_size: int) -> None:
         )
 
 
-def enumerate_anticanonical(bounds: Bounds, workers: int = 1) -> Iterator[EnumRecord]:
-    """Generate the catalog closure under blow-up moves within bounds.
+def _closure(bounds: Bounds) -> Iterator[EnumRecord]:
+    """The catalog closure under blow-up moves, in discovery order.
 
     Breadth-first over move count with deduplication by canonical form;
-    the first provenance found (in catalog order, then move order) wins.
-    Records come out sorted by (length, canonical sequence), and the output
-    does not depend on ``workers``.
+    layers are expanded in catalog order, then move order, and the first
+    provenance found for a canonical form wins.
     """
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
-    seen: dict[Divisor, EnumRecord] = {}
+    seen: dict[Divisor, EnumRecord | None] = {}
     frontier: list[EnumRecord] = []
     for entry in catalog(bounds.param_range):
         if not _within_bounds(entry.pair.divisor, bounds):
             continue
         key = _canon_divisor(entry.pair.divisor)
-        if key in seen:
-            continue
-        record = _make_record(entry.case, entry.param, (), entry.pair)
-        seen[key] = record
-        frontier.append(record)
+        if key not in seen:
+            seen[key] = None
+            frontier.append(_make_record(entry.case, entry.param, (), entry.pair))
+    yield from frontier
 
-    def expand(record: EnumRecord) -> list[tuple[str, int | None, tuple[Move, ...], LogCYPair]]:
-        out = []
+    # a child is the argument tuple of its record, the transported pair last
+    def children(record: EnumRecord) -> Iterator[tuple]:
         for move in _move_candidates(record.pair.divisor, bounds):
-            out.append(
-                (record.case, record.param, record.moves + (move,), transport(record.pair, move))
-            )
-        return out
+            yield record.case, record.param, record.moves + (move,), transport(record.pair, move)
 
     for _ in range(bounds.max_moves):
         if not frontier:
             break
-        if workers == 1:
-            batches = [expand(record) for record in frontier]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(expand, frontier))
-        next_frontier: list[EnumRecord] = []
-        for batch in batches:
-            for case, param, word, pair in batch:
-                key = _canon_divisor(pair.divisor)
-                if key in seen:
-                    continue
-                record = _make_record(case, param, word, pair)
-                seen[key] = record
-                next_frontier.append(record)
+        layer = _bfs_layer(frontier, seen, children, key=lambda c: _canon_divisor(c[-1].divisor))
         _index_memory_guard(len(seen))
-        frontier = next_frontier
+        frontier = [_make_record(*child) for child in layer]
+        yield from frontier
 
-    yield from sorted(seen.values(), key=lambda r: _sort_key(r.divisor))
+
+def enumerate_anticanonical(bounds: Bounds, workers: int = 1) -> Iterator[EnumRecord]:
+    """Generate the catalog closure under blow-up moves within bounds.
+
+    Breadth-first over move count with deduplication by canonical form;
+    the first provenance found (in catalog order, then move order) wins.
+    Records come out sorted by (length, canonical sequence).  ``workers``
+    is validated and otherwise ignored: the search runs in one thread.
+    """
+    if workers < 1:
+        raise PreconditionError("workers must be >= 1")
+    yield from sorted(_closure(bounds), key=lambda r: _sort_key(r.divisor))
 
 
 def is_anticanonical(d: Divisor, bounds: Bounds) -> EnumRecord | UnknownWithinBounds:
     """Membership query against the bounded enumeration closure.
 
-    A witness record proves the sequence anti-canonical; the negative
-    answer carries any hard obstructions but is otherwise only "unknown
-    within these bounds".
+    The closure is explored only until the target first appears, and the
+    witness is the record :func:`enumerate_anticanonical` emits for it.  A
+    witness record proves the sequence anti-canonical; the negative answer
+    carries any hard obstructions but is otherwise only "unknown within
+    these bounds".
     """
     obstructions = sequence_obstructions(d)
     if not obstructions:
         target = _canon_divisor(d)
-        for record in enumerate_anticanonical(bounds):
+        for record in _closure(bounds):
             if record.divisor == target:
                 return record
     return UnknownWithinBounds(obstructions)

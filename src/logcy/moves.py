@@ -12,7 +12,7 @@ answer only ever means "not found within bounds".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .divisor import (
     Divisor,
@@ -136,13 +136,6 @@ class MoveWord:
     initial: Divisor
     moves: tuple[Move, ...]
 
-    def states(self) -> Iterator[Divisor]:
-        cur = self.initial
-        yield cur
-        for move in self.moves:
-            cur = apply_move(cur, move)
-            yield cur
-
     def replay(self) -> Divisor:
         cur = self.initial
         for move in self.moves:
@@ -204,32 +197,69 @@ def toric_minimal_reduce(d: SphereCycle) -> tuple[SphereCycle, MoveWord]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded toric-equivalence search.
+# Bounded breadth-first search over canonical forms.
 
 def _canon_key(d: SphereCycle) -> tuple[int, ...]:
     return canonical_form(d).seq
 
 
-def _admissible(seq: tuple[int, ...], max_length: int, min_entry: int) -> bool:
-    return len(seq) <= max_length and min(seq) >= min_entry
+def _blow_up_edges(seq: tuple[int, ...], max_length: int, min_entry: int) -> Iterator[int]:
+    """Edges whose toric blow-up keeps the cycle inside the bounds."""
+    k = len(seq)
+    if k + 1 <= max_length and -1 >= min_entry:
+        for e in range(k):
+            if seq[e] - 1 >= min_entry and seq[(e + 1) % k] - 1 >= min_entry:
+                yield e
 
 
 def _toric_moves(d: SphereCycle, max_length: int, min_entry: int) -> Iterator[Move]:
     """Toric moves applicable to ``d`` whose result stays inside the bounds."""
+    yield from map(ToricBlowUp, _blow_up_edges(d.seq, max_length, min_entry))
     k = len(d)
-    if k + 1 <= max_length and -1 >= min_entry:
-        for e in range(k):
-            if d.seq[e] - 1 >= min_entry and d.seq[(e + 1) % k] - 1 >= min_entry:
-                yield ToricBlowUp(e)
     if k >= 3:
         for i in range(k):
             if d.seq[i] == -1:
                 yield ToricBlowDown(i)
 
 
-def _child_keys(key: tuple[int, ...], max_length: int, min_entry: int) -> list[tuple[int, ...]]:
-    d = SphereCycle(key)
-    return [_canon_key(apply_move(d, m)) for m in _toric_moves(d, max_length, min_entry)]
+def _toric_children(max_length: int, min_entry: int) -> Callable[[tuple], list[tuple]]:
+    """Canonical keys one in-bounds toric move away from a canonical key."""
+    def children(key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        d = SphereCycle(key)
+        return [_canon_key(apply_move(d, m)) for m in _toric_moves(d, max_length, min_entry)]
+    return children
+
+
+def _bfs_layer(
+    frontier: Iterable,
+    parents: dict,
+    children: Callable,
+    key: Callable | None = None,
+) -> list:
+    """Expand one breadth-first layer.
+
+    Nodes of ``frontier`` are expanded in the given order.  Each child whose
+    key (the child itself unless ``key`` is given) is not yet in ``parents``
+    is recorded there with its parent node and joins the returned layer, in
+    discovery order, so the first path to reach a key wins.
+    """
+    layer = []
+    for node in frontier:
+        for child in children(node):
+            k = child if key is None else key(child)
+            if k not in parents:
+                parents[k] = node
+                layer.append(child)
+    return layer
+
+
+def _path_to(parents: dict, key) -> list:
+    """Keys from a search root (parent ``None``) down to ``key``."""
+    path = [key]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
 
 
 def _realize_path(
@@ -270,9 +300,12 @@ def toric_equivalent(
 
     Bidirectional breadth-first search over canonical forms, pruned to
     intermediate cycles with length <= max_length and every entry >=
-    min_entry.  A returned word replays from ``a`` to a cycle whose
-    canonical form equals that of ``b``.  ``None`` reports exhaustion of
-    the bounds and is not a proof of inequivalence.
+    min_entry.  Each step expands the smaller non-empty frontier (the
+    forward one on ties) by one sorted layer; the first layer that meets the
+    other side picks the meeting key nearest to the other root, then the
+    least.  A returned word replays from ``a`` to a cycle whose canonical
+    form equals that of ``b``.  ``None`` reports exhaustion of the bounds
+    and is not a proof of inequivalence.
     """
     if max_length < 2 or max_steps < 0:
         raise PreconditionError("bounds must be positive")
@@ -280,58 +313,16 @@ def toric_equivalent(
     kb = _canon_key(b)
     if ka == kb:
         return MoveWord(a, ())
-
-    parents_f: dict[tuple[int, ...], tuple[int, ...] | None] = {ka: None}
-    parents_b: dict[tuple[int, ...], tuple[int, ...] | None] = {kb: None}
-    dist_f = {ka: 0}
-    dist_b = {kb: 0}
-    frontier_f = [ka]
-    frontier_b = [kb]
-    depth_f = depth_b = 0
-    meet: tuple[int, ...] | None = None
-
-    while depth_f + depth_b < max_steps and meet is None:
-        go_forward = len(frontier_f) <= len(frontier_b)
-        if not frontier_f:
-            go_forward = False
-        if not frontier_b:
-            go_forward = True
-        if not frontier_f and not frontier_b:
-            break
-        frontier, dist, parents, other_dist = (
-            (frontier_f, dist_f, parents_f, dist_b)
-            if go_forward
-            else (frontier_b, dist_b, parents_b, dist_f)
-        )
-        new_front = []
-        for key in sorted(frontier):
-            for child in _child_keys(key, max_length, min_entry):
-                if child not in dist:
-                    dist[child] = dist[key] + 1
-                    parents[child] = key
-                    new_front.append(child)
-        new_front = sorted(set(new_front))
-        if go_forward:
-            frontier_f = new_front
-            depth_f += 1
-        else:
-            frontier_b = new_front
-            depth_b += 1
-        meets = [
-            k for k in new_front
-            if k in other_dist and dist_f.get(k, 0) + dist_b.get(k, 0) <= max_steps
-        ]
+    children = _toric_children(max_length, min_entry)
+    parents: tuple[dict, dict] = ({ka: None}, {kb: None})
+    fronts = [[ka], [kb]]
+    for _ in range(max_steps):
+        side = 0 if fronts[0] and (not fronts[1] or len(fronts[0]) <= len(fronts[1])) else 1
+        fronts[side] = sorted(_bfs_layer(fronts[side], parents[side], children))
+        other = parents[1 - side]
+        meets = [k for k in fronts[side] if k in other]
         if meets:
-            meet = min(meets, key=lambda k: (dist_f[k] + dist_b[k], k))
-
-    if meet is None:
-        return None
-    path_f = [meet]
-    while parents_f[path_f[-1]] is not None:
-        path_f.append(parents_f[path_f[-1]])
-    path_f.reverse()
-    path_b = [meet]
-    while parents_b[path_b[-1]] is not None:
-        path_b.append(parents_b[path_b[-1]])
-    keys = path_f + path_b[1:]
-    return _realize_path(a, keys, max_length, min_entry)
+            meet = min(meets, key=lambda k: (len(_path_to(other, k)), k))
+            keys = _path_to(parents[0], meet) + _path_to(parents[1], meet)[-2::-1]
+            return _realize_path(a, keys, max_length, min_entry)
+    return None

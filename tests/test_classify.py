@@ -28,7 +28,7 @@ from logcy.divisor import (
 from logcy.enumeration import Bounds, enumerate_anticanonical, minimal_model
 from logcy.homology import transport, validate_pair
 from logcy.linalg import Inertia, solve_rational
-from logcy.moves import NonToricBlowUp
+from logcy.moves import NonToricBlowUp, ToricBlowDown, ToricBlowUp
 
 
 def test_classify_examples():
@@ -107,6 +107,15 @@ def test_negative_definite_agrees_with_inertia():
             d = SphereCycle(seq)
             iq = classify(d).inertia
             assert negative_definite(d) == ((iq.b_plus, iq.b_zero) == (0, 0)), seq
+    # cycles led by a zero entry: a continuant started at (1, 1) read the
+    # first leading minor as -1 and called 173 of these negative definite
+    assert classify(cycle(0, -2, -5, -5, 2)).inertia == (2, 0, 3)
+    assert not negative_definite(cycle(0, -2, -5, -5, 2))
+    for k in range(2, 7):
+        for rest in itertools.product(range(-5, 3), repeat=k - 1):
+            d = SphereCycle((0,) + rest)
+            iq = classify(d).inertia
+            assert negative_definite(d) == ((iq.b_plus, iq.b_zero) == (0, 0)), d
     rng = random.Random(23)
     for _ in range(300):
         k = rng.randint(2, 20)
@@ -223,7 +232,12 @@ def test_rigidity_needs_search():
     # (3, -4, 0) matches no shape directly; balancing moves reach (0, -1, 0)
     r = rigidity_witness(cycle(3, -4, 0), max_length=6, min_entry=-9, max_steps=6)
     assert r is not None
-    assert len(r.word) >= 1
+    assert r.pattern == "all_entries_ge_minus_one"
+    assert r.representative == cycle(-1, 0, 0)
+    assert r.word.moves == (
+        ToricBlowUp(2), ToricBlowUp(3), ToricBlowUp(4),
+        ToricBlowDown(2), ToricBlowDown(2), ToricBlowDown(2),
+    )
     assert canonical_form(r.word.replay()) == canonical_form(r.representative)
 
 

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import logcy
 from logcy.classify import classification_report
 from logcy.cli import main
 from logcy.divisor import cycle, divisor_to_obj
@@ -188,9 +191,12 @@ def test_malformed_input_exits_1(tmp_path, capsys):
 def test_console_entry_point(tmp_path):
     path = tmp_path / "d.json"
     path.write_text('{"kind":"cycle","s":[-3,-3]}')
+    # the child imports the same logcy as this process, installed or not
+    src = str(Path(logcy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "logcy.cli", "classify", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["contact"] == "convex"

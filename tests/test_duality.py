@@ -62,6 +62,10 @@ def test_block_form_rejections():
     with pytest.raises(NotEligible) as exc:
         block_form(cycle(-3, 0, -3))
     assert exc.value.failed == "negative_definite"
+    # b+ = 2: a zero-led cycle whose first leading minor is 0, not negative
+    with pytest.raises(NotEligible) as exc:
+        dual_cycle(cycle(0, -2, -5, -5, -5, 2))
+    assert exc.value.failed == "negative_definite"
 
 
 def test_dual_fixed_cases():

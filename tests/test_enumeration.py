@@ -169,6 +169,14 @@ def test_is_anticanonical_obstructed():
     assert res.obstructions == ("s_total_exceeds_9",)
 
 
+def test_is_anticanonical_matches_enumeration():
+    # the early-stopping query returns the very record the full closure emits
+    for r in enumerate_anticanonical(SMALL):
+        w = is_anticanonical(r.divisor, SMALL)
+        assert isinstance(w, EnumRecord)
+        assert (w.divisor, w.case, w.param, w.moves) == (r.divisor, r.case, r.param, r.moves)
+
+
 def test_unknown_within_bounds_is_not_a_disproof():
     # reachable sequence, but the move budget is too small to see it
     tight = Bounds(max_length=4, min_entry=-5, max_moves=1, param_range=(-1, 1))

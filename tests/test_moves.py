@@ -163,11 +163,16 @@ def test_toric_minimal_reduce_fixed_points():
     assert word.moves == ()
 
 
+def op_pairs(word):
+    return [(step["op"], step["index"]) for step in moves_to_obj(word.moves)]
+
+
 def test_equivalence_balanced_triple():
     word = toric_equivalent(
         cycle(3, -2, 0), cycle(2, -1, 0), max_length=5, min_entry=-4, max_steps=3
     )
     assert word is not None and len(word) == 2
+    assert op_pairs(word) == [("toric_up", 2), ("toric_down", 2)]
     assert canonical_form(word.replay()) == canonical_form(cycle(2, -1, 0))
     assert word.initial == cycle(3, -2, 0)
 
@@ -177,6 +182,7 @@ def test_equivalence_single_step():
         cycle(-3, -3), cycle(-4, -1, -4), max_length=4, min_entry=-6, max_steps=2
     )
     assert word is not None and len(word) == 1
+    assert op_pairs(word) == [("toric_up", 0)]
 
 
 def test_equivalence_not_found():
