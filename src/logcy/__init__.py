@@ -84,6 +84,7 @@ from .enumeration import (
     Bounds,
     CatalogEntry,
     EnumRecord,
+    ResourceLimit,
     UnknownWithinBounds,
     catalog,
     enumerate_anticanonical,

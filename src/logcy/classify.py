@@ -25,7 +25,7 @@ from .divisor import (
     dihedral_images,
     intersection_matrix,
 )
-from .linalg import Inertia, _rref, determinant, inertia, nullspace, rank, solve_rational
+from .linalg import Inertia, determinant, inertia, nullspace, rank, rref, solve_rational
 from .homology import LogCYPair
 from .monodromy import bundle_type, monodromy
 from . import moves as _moves
@@ -177,7 +177,7 @@ def exists_positive_exact_area(d: Divisor) -> bool:
     """
     q = intersection_matrix(d)
     k = len(q)
-    reduced, pivots = _rref([[Fraction(x) for x in row] for row in q])
+    reduced, pivots = rref([[Fraction(x) for x in row] for row in q])
     basis = reduced[: len(pivots)]
     if len(basis) == k:
         return True

@@ -155,10 +155,19 @@ def dihedral_images(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def canonical_form(d: SphereCycle) -> SphereCycle:
     """Lexicographically minimal sequence over all rotations and reversals.
 
+    Only the rotations of the sequence and of its reversal that start at an
+    occurrence of the minimum entry are compared: the least of all 2k
+    dihedral images must begin with the minimum entry, so it is among them
+    and the result equals ``min(dihedral_images(d.seq))``.
+
     Idempotent, and two cycles have equal canonical forms exactly when they
     are related by a rotation or a reversal.
     """
-    return SphereCycle(min(dihedral_images(d.seq)))
+    seq = d.seq
+    m = min(seq)
+    return SphereCycle(min([
+        s[i:] + s[:i] for s in (seq, seq[::-1]) for i, x in enumerate(s) if x == m
+    ]))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ def block_form(d: SphereCycle) -> BlockForm:
     and total-class self-intersection <= -2.  The parse starts at the
     lexicographically smallest rotation beginning with an a-entry, after
     canonicalizing, so the result is deterministic and its expansion
-    round-trips up to rotation/reversal.
+    round-trips up to rotation/reversal.  That rotation is the canonical
+    sequence itself: it starts with the minimum entry, which is <= -3.
     """
     if not is_toric_minimal(d):
         raise NotEligible("toric_minimal")
@@ -66,14 +67,8 @@ def block_form(d: SphereCycle) -> BlockForm:
     if descriptors(d).s_total > -2:
         raise NotEligible("s_total_at_most_minus_2")
 
-    seq = canonical_form(d).seq
-    k = len(seq)
-    starts = [
-        tuple(seq[(t + r) % k] for t in range(k))
-        for r in range(k)
-        if seq[r] <= -3
-    ]
-    base = min(starts)
+    base = canonical_form(d).seq
+    k = len(base)
     pairs: list[tuple[int, int]] = []
     i = 0
     while i < k:

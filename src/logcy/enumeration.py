@@ -3,10 +3,13 @@
 Every anti-canonical sequence arises from one of finitely many minimal
 models by blow-up moves, so the generator takes the catalog pairs and
 closes them under toric and non-toric blow-ups within explicit bounds,
-deduplicating by canonical form.  Each emitted record carries provenance
-(minimal model plus move word) that replays to the sequence, and the
-invariants of the sequence.  The closure is explored breadth-first in a
-single thread; output order is (length, canonical sequence).
+deduplicating by canonical form.  A candidate move is checked against the
+deduplication index before its pair is transported, so only new sequences
+pay for homology transport and the record self-checks.  Each emitted record
+carries provenance (minimal model plus move word) that replays to the
+sequence, and the invariants of the sequence.  The closure is explored
+breadth-first in a single thread; output order is (length, canonical
+sequence).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .moves import (
     ToricBlowUp,
     _bfs_layer,
     _blow_up_edges,
+    apply_move,
     moves_to_obj,
 )
 
@@ -51,6 +55,7 @@ __all__ = [
     "Bounds",
     "CatalogEntry",
     "EnumRecord",
+    "ResourceLimit",
     "UnknownWithinBounds",
     "catalog",
     "enumerate_anticanonical",
@@ -316,6 +321,10 @@ def _make_record(case: str, param: int | None, word: tuple[Move, ...], pair: Log
     return EnumRecord(canon, case, param, word, pair, iq, det, trace, s_total, contact)
 
 
+class ResourceLimit(PreconditionError):
+    """A bounded enumeration would exceed the ``LOGCY_MAX_MEM`` byte budget."""
+
+
 def _index_memory_guard(index_size: int) -> None:
     cap = os.environ.get("LOGCY_MAX_MEM")
     if not cap:
@@ -326,7 +335,7 @@ def _index_memory_guard(index_size: int) -> None:
         raise PreconditionError(f"LOGCY_MAX_MEM must be an integer byte count, got {cap!r}")
     # coarse estimate: ~256 bytes per deduplication index entry
     if index_size * 256 > cap_bytes:
-        raise RuntimeError(
+        raise ResourceLimit(
             f"deduplication index (~{index_size * 256} bytes) exceeds LOGCY_MAX_MEM={cap_bytes}"
         )
 
@@ -336,7 +345,10 @@ def _closure(bounds: Bounds) -> Iterator[EnumRecord]:
 
     Breadth-first over move count with deduplication by canonical form;
     layers are expanded in catalog order, then move order, and the first
-    provenance found for a canonical form wins.
+    provenance found for a canonical form wins.  Candidates are keyed by
+    the canonical form of the moved divisor and deduplicated before they
+    are transported: only the new divisors of a layer get a pair and a
+    record.
     """
     seen: dict[Divisor, EnumRecord | None] = {}
     frontier: list[EnumRecord] = []
@@ -349,17 +361,20 @@ def _closure(bounds: Bounds) -> Iterator[EnumRecord]:
             frontier.append(_make_record(entry.case, entry.param, (), entry.pair))
     yield from frontier
 
-    # a child is the argument tuple of its record, the transported pair last
-    def children(record: EnumRecord) -> Iterator[tuple]:
-        for move in _move_candidates(record.pair.divisor, bounds):
-            yield record.case, record.param, record.moves + (move,), transport(record.pair, move)
+    def children(record: EnumRecord) -> Iterator[tuple[EnumRecord, Move, Divisor]]:
+        d = record.pair.divisor
+        for move in _move_candidates(d, bounds):
+            yield record, move, apply_move(d, move)
 
     for _ in range(bounds.max_moves):
         if not frontier:
             break
-        layer = _bfs_layer(frontier, seen, children, key=lambda c: _canon_divisor(c[-1].divisor))
+        layer = _bfs_layer(frontier, seen, children, key=lambda c: _canon_divisor(c[2]))
         _index_memory_guard(len(seen))
-        frontier = [_make_record(*child) for child in layer]
+        frontier = [
+            _make_record(r.case, r.param, r.moves + (move,), transport(r.pair, move))
+            for r, move, _ in layer
+        ]
         yield from frontier
 
 

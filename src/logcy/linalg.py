@@ -17,6 +17,7 @@ __all__ = [
     "inertia",
     "nullspace",
     "rank",
+    "rref",
     "solve_rational",
 ]
 
@@ -193,7 +194,7 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -228,7 +229,7 @@ def solve_rational(m: Matrix, a: Sequence) -> tuple[Fraction, ...] | None:
         raise ValueError("dimension mismatch between matrix and vector")
     ncols = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, a)]
-    aug, pivots = _rref(aug)
+    aug, pivots = rref(aug)
     if ncols in pivots:
         return None  # a pivot in the constants column: inconsistent
     z = [Fraction(0)] * ncols
@@ -243,7 +244,7 @@ def nullspace(m: Matrix) -> list[tuple[Fraction, ...]]:
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     work = [[Fraction(x) for x in row] for row in rows]
-    work, pivots = _rref(work)
+    work, pivots = rref(work)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:

@@ -4,6 +4,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import io
 import itertools
 import random
@@ -269,6 +270,10 @@ def _sequence_clause_violations(d):
     return bad
 
 
+# sha256 of the JSONL bytes at the criterion-7 bounds (16,781 records)
+ENUMERATION_SHA256 = "ccc87b37a1d72e6ff85633c30b30b2b950699587a4a9511a2e525c7b0d897da5"
+
+
 def test_criterion_7_enumeration_filters():
     t0 = time.perf_counter()
     bounds = Bounds(max_length=6, min_entry=-9, max_moves=8, param_range=(-3, 3))
@@ -295,10 +300,12 @@ def test_criterion_7_enumeration_filters():
     run1 = dump(1)
     run2 = dump(1)
     run4 = dump(4)
-    ok = failures == 0 and run1 == run2 == run4 and len(records) > 10000
+    digest = hashlib.sha256(run1.encode()).hexdigest()
+    ok = (failures == 0 and run1 == run2 == run4 and len(records) > 10000
+          and digest == ENUMERATION_SHA256)
     report(7, ok,
            f"{len(records)} records, {failures} filter/replay failures, "
-           "byte-identical across runs and 1 vs 4 workers",
+           f"sha256 {digest[:8]}, byte-identical across runs and 1 vs 4 workers",
            300.0, time.perf_counter() - t0)
 
 

@@ -118,6 +118,16 @@ def test_enumerate_streams_jsonl(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_enumerate_over_memory_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("LOGCY_MAX_MEM", "1024")
+    code, out = run(capsys, "enumerate", "--max-length", "4", "--min-entry", "-5",
+                    "--max-moves", "3", "--param-range", "1")
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["error"] == "ResourceLimit"
+    assert "LOGCY_MAX_MEM=1024" in obj["detail"]
+
+
 def test_check_pair(tmp_path, capsys):
     pair = {
         "divisor": {"kind": "cycle", "s": [1, 1, 1]},

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -82,6 +83,43 @@ def test_no_nodal_cycles():
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=10))
 def test_canonical_matches_oracle(entries):
     assert canonical_form(SphereCycle(tuple(entries))).seq == brute_canonical(entries)
+
+
+def test_canonical_matches_oracle_exhaustive():
+    # every cycle with k = 2..6 and entries in [-3, 2]
+    for k in range(2, 7):
+        for seq in itertools.product(range(-3, 3), repeat=k):
+            assert canonical_form(SphereCycle(seq)).seq == brute_canonical(seq)
+
+
+def structured_cycles(max_k):
+    """Words with many occurrences of the minimum: all-equal, periodic, palindromic."""
+    for k in range(2, max_k + 1):
+        yield (-2,) * k
+    for a, b in itertools.permutations((-3, 0, 1), 2):
+        for n in range(1, max_k // 2 + 1):
+            yield (a, b) * n
+        for n in range(1, max_k // 3 + 1):
+            yield (a, a, b) * n
+            yield (a, b, b) * n
+    for n in range(1, max_k // 4 + 1):
+        half = (-4, 1) * n
+        yield half + half[::-1]  # even palindrome, minima on both halves
+        yield half + (2,) + half[::-1]  # odd palindrome
+        yield (-4, 0, -4) + (3,) * (4 * n - 3)  # palindrome, two minima one apart
+
+
+def test_canonical_matches_oracle_structured():
+    count = 0
+    for seq in structured_cycles(40):
+        expected = brute_canonical(seq)
+        k = len(seq)
+        for r in range(k):
+            rotated = seq[r:] + seq[:r]
+            assert canonical_form(SphereCycle(rotated)).seq == expected
+            assert canonical_form(SphereCycle(rotated[::-1])).seq == expected
+        count += 1
+    assert count > 200
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=10))

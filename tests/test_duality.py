@@ -46,6 +46,11 @@ def test_block_form_round_trips():
         bf = block_form(d)
         assert all(a <= -3 and b >= 0 for a, b in bf.pairs)
         assert canonical_form(bf.expand()) == canonical_form(d)
+        # the parse starts at the canonical sequence, from any dihedral image
+        assert bf.expand().seq == canonical_form(d).seq
+        rev = d.seq[::-1]
+        image = SphereCycle(rev[1:] + rev[:1])
+        assert block_form(image) == bf
 
 
 def test_block_form_rejections():

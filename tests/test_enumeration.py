@@ -17,6 +17,7 @@ from logcy.divisor import PreconditionError
 from logcy.enumeration import (
     Bounds,
     EnumRecord,
+    ResourceLimit,
     UnknownWithinBounds,
     catalog,
     enumerate_anticanonical,
@@ -187,7 +188,7 @@ def test_unknown_within_bounds_is_not_a_disproof():
 
 def test_memory_cap(monkeypatch):
     monkeypatch.setenv("LOGCY_MAX_MEM", "1024")
-    with pytest.raises(RuntimeError, match="LOGCY_MAX_MEM"):
+    with pytest.raises(ResourceLimit, match="LOGCY_MAX_MEM=1024"):
         list(enumerate_anticanonical(SMALL))
     monkeypatch.setenv("LOGCY_MAX_MEM", "not-a-number")
     with pytest.raises(PreconditionError):
