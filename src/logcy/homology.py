@@ -20,6 +20,7 @@ from .divisor import (
     PreconditionError,
     SphereCycle,
     Torus,
+    _check_int,
     dihedral_index_maps,
     divisor_from_obj,
     divisor_to_obj,
@@ -399,20 +400,18 @@ def check_constraints(p: LogCYPair) -> tuple[RuleCheck, ...]:
     else:
         add("long_cycle_nonnegative_bound", None, f"r = {k}")
 
-    b_plus = inertia(intersection_matrix(d)).b_plus
-    gate = b_plus == 1
-    maps = dihedral_index_maps(k)
-
     def image(pi: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(seq[t] for t in pi)
 
+    # At most one table row applies, so the b+ gate and the dihedral maps
+    # are computed at most once per call, and only when a row applies.
     def table_row(rule: str, applies: bool, matcher) -> None:
         if not applies:
             add(rule, None, f"r = {k}, nonnegative count {nonneg}")
-        elif not gate:
+        elif (b_plus := inertia(intersection_matrix(d)).b_plus) != 1:
             add(rule, None, f"cycle pairing has b+ = {b_plus}")
         else:
-            add(rule, any(matcher(pi) for pi in maps), "")
+            add(rule, any(matcher(pi) for pi in dihedral_index_maps(k)), "")
 
     def match_4_three(pi) -> bool:
         s = image(pi)
@@ -493,13 +492,9 @@ def pair_from_obj(obj) -> LogCYPair:
     basis_obj = obj.get("basis")
     if basis_obj is None:
         return LogCYPair(d, None, None, None)
-    if (
-        not isinstance(basis_obj, dict)
-        or basis_obj.get("kind") not in ("rational", "ruled")
-        or not isinstance(basis_obj.get("n"), int)
-    ):
+    if not isinstance(basis_obj, dict) or basis_obj.get("kind") not in ("rational", "ruled"):
         raise InvalidDivisor("malformed basis object")
-    basis = AmbientBasis(basis_obj["kind"], basis_obj["n"])
+    basis = AmbientBasis(basis_obj["kind"], _check_int(basis_obj.get("n")))
     classes = obj.get("classes")
     c1 = obj.get("c1")
     if not isinstance(classes, list) or not isinstance(c1, list):
@@ -508,10 +503,10 @@ def pair_from_obj(obj) -> LogCYPair:
         return LogCYPair(
             d,
             basis,
-            tuple(tuple(int(x) for x in c) for c in classes),
-            tuple(int(x) for x in c1),
+            tuple(tuple(_check_int(x) for x in c) for c in classes),
+            tuple(_check_int(x) for x in c1),
         )
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidDivisor(f"malformed class data: {exc}") from exc
 
 

@@ -39,10 +39,13 @@ def _rows(m: Matrix) -> list[list]:
     return rows
 
 
-def _square_rows(m: Matrix) -> list[list]:
+def _square_rows(m: Matrix) -> list[list[int]]:
+    """Copy a square matrix for Bareiss, whose floor division would truncate non-integers."""
     rows = _rows(m)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise ValueError("expected a matrix of integers")
     return rows
 
 
@@ -50,7 +53,8 @@ def determinant(m: Matrix) -> int:
     """Exact determinant of an integer matrix, by Bareiss elimination.
 
     Fraction-free: every division performed is exact, so all intermediate
-    values stay integers of moderate size.
+    values stay integers of moderate size.  Entries must be integers;
+    anything else raises ``ValueError``.
     """
     a = _square_rows(m)
     n = len(a)
@@ -65,16 +69,20 @@ def determinant(m: Matrix) -> int:
                 return 0
             a[i], a[pivot] = a[pivot], a[i]
             sign = -sign
-        for j in range(i + 1, n):
-            aji = a[j][i]
-            aii = a[i][i]
-            row_i = a[i]
-            row_j = a[j]
-            for l in range(i + 1, n):
-                row_j[l] = (row_j[l] * aii - aji * row_i[l]) // prev
-            row_j[i] = 0
+        _bareiss_step(a, i, n, prev)
         prev = a[i][i]
     return sign * a[-1][-1]
+
+
+def _bareiss_step(a: list[list[int]], i: int, n: int, prev: int) -> None:
+    """Pivot on a[i][i]; the trailing entries become minors, so dividing by ``prev`` is exact."""
+    p = a[i][i]
+    row_i = a[i]
+    for j in range(i + 1, n):
+        f = a[j][i]
+        row_j = a[j]
+        for l in range(i + 1, n):
+            row_j[l] = (p * row_j[l] - f * row_i[l]) // prev
 
 
 def _fix_zero_pivot(a: list[list], i: int, n: int) -> bool:
@@ -99,14 +107,17 @@ def _fix_zero_pivot(a: list[list], i: int, n: int) -> bool:
 def inertia(m: Matrix) -> Inertia:
     """Exact signature triple of a symmetric integer matrix.
 
-    Congruence diagonalization: simultaneous row and column operations
-    preserve the signature (Sylvester's law).  Small matrices take a
-    division-free integer path, where rescaling a row/column pair by the
-    pivot multiplies diagonal entries by squares and keeps every sign; the
-    bit length roughly doubles per pivot there, so larger matrices use
-    exact rational elimination instead.  Zero pivots with nonzero residual
-    rows are repaired by adding another row/column pair (valid in
-    characteristic zero).  The result does not depend on pivot order.
+    Symmetric fraction-free (Bareiss) elimination.  The pivot ``d_i`` of step
+    ``i`` is the leading principal minor of order ``i + 1`` of a matrix
+    congruent to the input, and by Jacobi's rule the ``i``-th entry of a
+    congruent diagonal form is ``d_i / d_{i-1}`` (with ``d_{-1} = 1``), so its
+    sign is that of ``d_i * d_{i-1}``; Sylvester's law makes the counts the
+    inertia.  A zero pivot is repaired by swapping in, or adding, another
+    row/column pair (valid in characteristic zero); a residual row that is
+    entirely zero counts towards ``b_zero`` and leaves ``d_{i-1}`` unchanged.
+    The repairs are unimodular congruences on the trailing indices, so every
+    trailing entry is a minor of an integer matrix and each division is
+    exact.  Entries must be integers; anything else raises ``ValueError``.
     """
     a = _square_rows(m)
     n = len(a)
@@ -114,58 +125,17 @@ def inertia(m: Matrix) -> Inertia:
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    if n > 12:
-        return _inertia_rational([[Fraction(x) for x in row] for row in a], n)
+    pos = neg = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0 and not _fix_zero_pivot(a, i, n):
             continue
-        p = a[i][i]
-        if p == 0:
-            continue
-        coeffs = [a[j][i] for j in range(i + 1, n)]
-        for j in range(i + 1, n):
-            f = coeffs[j - i - 1]
-            if f == 0:
-                continue
-            row_i = a[i]
-            row_j = a[j]
-            for l in range(i, n):
-                row_j[l] = p * row_j[l] - f * row_i[l]
-        for j in range(i + 1, n):
-            f = coeffs[j - i - 1]
-            if f == 0:
-                continue
-            for l in range(i, n):
-                a[l][j] = p * a[l][j] - f * a[l][i]
-    pos = sum(1 for i in range(n) if a[i][i] > 0)
-    neg = sum(1 for i in range(n) if a[i][i] < 0)
-    return Inertia(pos, n - pos - neg, neg)
-
-
-def _inertia_rational(a: list[list[Fraction]], n: int) -> Inertia:
-    for i in range(n):
-        if a[i][i] == 0 and not _fix_zero_pivot(a, i, n):
-            continue
-        p = a[i][i]
-        if p == 0:
-            continue
-        coeffs = [a[j][i] / p for j in range(i + 1, n)]
-        for j in range(i + 1, n):
-            f = coeffs[j - i - 1]
-            if f == 0:
-                continue
-            row_i = a[i]
-            row_j = a[j]
-            for l in range(i, n):
-                row_j[l] -= f * row_i[l]
-        for j in range(i + 1, n):
-            f = coeffs[j - i - 1]
-            if f == 0:
-                continue
-            for l in range(i, n):
-                a[l][j] -= f * a[l][i]
-    pos = sum(1 for i in range(n) if a[i][i] > 0)
-    neg = sum(1 for i in range(n) if a[i][i] < 0)
+        if (a[i][i] > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        _bareiss_step(a, i, n, prev)
+        prev = a[i][i]
     return Inertia(pos, n - pos - neg, neg)
 
 

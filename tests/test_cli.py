@@ -150,6 +150,24 @@ def test_check_pair(tmp_path, capsys):
     assert obj["valid"] is False and "class_sum" in obj["violations"]
 
 
+def test_check_malformed_pair_exits_1(tmp_path, capsys):
+    good = {
+        "divisor": {"kind": "cycle", "s": [1, 1, 1]},
+        "basis": {"kind": "rational", "n": 0},
+        "classes": [[1], [1], [1]],
+        "c1": [3],
+    }
+    float_class = dict(good, classes=[[1.7], [1], [1]])
+    string_c1 = dict(good, c1=["3"])
+    bool_n = dict(good, basis={"kind": "rational", "n": False})
+    for i, pair in enumerate((float_class, string_c1, bool_n)):
+        f = write_divisor(tmp_path, f"bad{i}.json", pair)
+        assert main(["check", f]) == 1, pair
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected an integer" in captured.err
+
+
 def test_solve_exact(tmp_path, capsys):
     f = write_divisor(tmp_path, "d.json", {"kind": "cycle", "s": [0, 0, 0, 0]})
     code, out = run(capsys, "solve-exact", f, "--areas", "1,1,1,1")

@@ -102,6 +102,34 @@ def test_inertia_against_charpoly_oracle_200():
         assert inertia(m) == inertia_by_charpoly(m)
 
 
+def test_inertia_against_charpoly_oracle_large():
+    # up to 40 rows, the sizes the invariants benchmark classifies
+    rng = random.Random(37)
+    cases = [random_symmetric(rng, n) for n in range(9, 41)]
+    for n in (14, 23, 31, 40):
+        sparse = [[0] * n for _ in range(n)]
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            sparse[i][j] = sparse[j][i] = rng.randint(-3, 3)
+        cases.append(sparse)
+        vs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(4)]
+        ws = [rng.choice((-2, -1, 1, 2)) for _ in vs]
+        cases.append([
+            [sum(w * v[i] * v[j] for w, v in zip(ws, vs)) for j in range(n)]
+            for i in range(n)
+        ])  # rank at most 4
+    for k in range(13, 41):
+        cases.append(intersection_matrix(cycle(*(rng.randint(-6, 2) for _ in range(k)))))
+    for k in (13, 16, 20, 27, 40):
+        # degenerate: the last residual row is zero
+        cases.append(intersection_matrix(cycle(*(-2,) * k)))
+        # all-zero diagonal: every other pivot takes the add-row-and-column
+        # repair, and at k divisible by 4 two residual rows are zero
+        cases.append(intersection_matrix(cycle(*(0,) * k)))
+    for m in cases:
+        assert inertia(m) == inertia_by_charpoly(m)
+
+
 def random_unimodular(rng, n):
     # product of elementary integer row operations applied to the identity
     p = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -128,6 +156,19 @@ def test_inertia_congruence_invariance_200():
             for i in range(n)
         ]
         assert inertia(pmpt) == inertia(m)
+
+
+def test_fraction_free_routines_reject_non_integers():
+    # floor division would silently truncate these
+    for m in (
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]],
+        [[Fraction(2), 0], [0, 1]],
+        [[1.5, 0], [0, 2]],
+    ):
+        with pytest.raises(ValueError):
+            determinant(m)
+        with pytest.raises(ValueError):
+            inertia(m)
 
 
 # --- rank --------------------------------------------------------------------
