@@ -74,6 +74,19 @@ class SphereCycle:
         return len(self.seq)
 
 
+def _sphere_cycle(seq: tuple[int, ...]) -> SphereCycle:
+    """A cycle from a tuple of ints, without the per-entry ``int()`` pass.
+
+    For callers whose entries are already ints: canonicalisation, the
+    blow-up moves and block-form expansion.  The length is still checked.
+    """
+    if len(seq) < 2:
+        raise InvalidDivisor("a sphere cycle needs at least two components")
+    d = object.__new__(SphereCycle)
+    object.__setattr__(d, "seq", seq)
+    return d
+
+
 Divisor = Torus | SphereCycle
 
 
@@ -165,7 +178,7 @@ def canonical_form(d: SphereCycle) -> SphereCycle:
     """
     seq = d.seq
     m = min(seq)
-    return SphereCycle(min([
+    return _sphere_cycle(min([
         s[i:] + s[:i] for s in (seq, seq[::-1]) for i, x in enumerate(s) if x == m
     ]))
 

@@ -18,6 +18,7 @@ from .divisor import (
     PreconditionError,
     SphereCycle,
     Torus,
+    _sphere_cycle,
     canonical_form,
     descriptors,
 )
@@ -45,7 +46,7 @@ class BlockForm:
         for a, b in self.pairs:
             seq.append(a)
             seq.extend([-2] * b)
-        return SphereCycle(tuple(seq))
+        return _sphere_cycle(tuple(seq))
 
 
 def block_form(d: SphereCycle) -> BlockForm:

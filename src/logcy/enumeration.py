@@ -9,15 +9,16 @@ pay for homology transport and the record self-checks.  Each emitted record
 carries provenance (minimal model plus move word) that replays to the
 sequence, and the invariants of the sequence.  The closure is explored
 breadth-first in a single thread; output order is (length, canonical
-sequence).
+sequence).  A membership query walks the same closure on divisors and move
+words only: just its target is transported and checked.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, TypeVar
 
 from .classify import ContactType, contact_from_inertia
 from .divisor import (
@@ -340,42 +341,61 @@ def _index_memory_guard(index_size: int) -> None:
         )
 
 
-def _closure(bounds: Bounds) -> Iterator[EnumRecord]:
-    """The catalog closure under blow-up moves, in discovery order.
+N = TypeVar("N")
+
+
+def _models(bounds: Bounds) -> list[CatalogEntry]:
+    """The catalog entries whose divisor lies inside the bounds."""
+    return [e for e in catalog(bounds.param_range) if _within_bounds(e.pair.divisor, bounds)]
+
+
+def _closure(
+    bounds: Bounds,
+    models: list[CatalogEntry],
+    root: Callable[[CatalogEntry], N],
+    step: Callable[[N, Move, Divisor], N],
+    reached: Callable[[N], Divisor],
+) -> Iterator[N]:
+    """The closure of ``models`` (``_models(bounds)``) under blow-up moves.
 
     Breadth-first over move count with deduplication by canonical form;
     layers are expanded in catalog order, then move order, and the first
-    provenance found for a canonical form wins.  Candidates are keyed by
-    the canonical form of the moved divisor and deduplicated before they
-    are transported: only the new divisors of a layer get a pair and a
-    record.
+    provenance found for a canonical form wins.  Each candidate is keyed by
+    the canonical form of the moved divisor, and only a new key gets a
+    node: ``root(entry)`` for a minimal model, ``step(parent, move, moved
+    divisor)`` for a blow-up; ``reached(node)`` is the divisor its moves
+    lead to.  Nodes are yielded in discovery order; the memory guard runs
+    after every layer.
     """
-    seen: dict[Divisor, EnumRecord | None] = {}
-    frontier: list[EnumRecord] = []
-    for entry in catalog(bounds.param_range):
-        if not _within_bounds(entry.pair.divisor, bounds):
-            continue
+    seen: dict[Divisor, N | None] = {}  # canonical form -> parent node
+    frontier: list[N] = []
+    for entry in models:
         key = _canon_divisor(entry.pair.divisor)
         if key not in seen:
             seen[key] = None
-            frontier.append(_make_record(entry.case, entry.param, (), entry.pair))
+            frontier.append(root(entry))
     yield from frontier
 
-    def children(record: EnumRecord) -> Iterator[tuple[EnumRecord, Move, Divisor]]:
-        d = record.pair.divisor
+    def children(node: N) -> Iterator[tuple[N, Move, Divisor]]:
+        d = reached(node)
         for move in _move_candidates(d, bounds):
-            yield record, move, apply_move(d, move)
+            yield node, move, apply_move(d, move)
 
     for _ in range(bounds.max_moves):
         if not frontier:
             break
         layer = _bfs_layer(frontier, seen, children, key=lambda c: _canon_divisor(c[2]))
         _index_memory_guard(len(seen))
-        frontier = [
-            _make_record(r.case, r.param, r.moves + (move,), transport(r.pair, move))
-            for r, move, _ in layer
-        ]
+        frontier = [step(node, move, moved) for node, move, moved in layer]
         yield from frontier
+
+
+def _root_record(entry: CatalogEntry) -> EnumRecord:
+    return _make_record(entry.case, entry.param, (), entry.pair)
+
+
+def _child_record(r: EnumRecord, move: Move, moved: Divisor) -> EnumRecord:
+    return _make_record(r.case, r.param, r.moves + (move,), transport(r.pair, move))
 
 
 def enumerate_anticanonical(bounds: Bounds, workers: int = 1) -> Iterator[EnumRecord]:
@@ -383,30 +403,54 @@ def enumerate_anticanonical(bounds: Bounds, workers: int = 1) -> Iterator[EnumRe
 
     Breadth-first over move count with deduplication by canonical form;
     the first provenance found (in catalog order, then move order) wins.
-    Records come out sorted by (length, canonical sequence).  ``workers``
-    is validated and otherwise ignored: the search runs in one thread.
+    Every new divisor is transported and checked as it is found.  Records
+    come out sorted by (length, canonical sequence).  ``workers`` is
+    validated and otherwise ignored: the search runs in one thread.
     """
     if workers < 1:
         raise PreconditionError("workers must be >= 1")
-    yield from sorted(_closure(bounds), key=lambda r: _sort_key(r.divisor))
+    records = _closure(
+        bounds, _models(bounds), _root_record, _child_record, lambda r: r.pair.divisor
+    )
+    yield from sorted(records, key=lambda r: _sort_key(r.divisor))
 
 
 def is_anticanonical(d: Divisor, bounds: Bounds) -> EnumRecord | UnknownWithinBounds:
     """Membership query against the bounded enumeration closure.
 
-    The closure is explored only until the target first appears, and the
-    witness is the record :func:`enumerate_anticanonical` emits for it.  A
-    witness record proves the sequence anti-canonical; the negative answer
-    carries any hard obstructions but is otherwise only "unknown within
-    these bounds".
+    The closure is walked at divisor level, as (minimal model, move word,
+    divisor) nodes, only until the target first appears; only the target's
+    pair is transported along its word and checked, and the witness is the
+    record :func:`enumerate_anticanonical` emits for it.  Every move lowers
+    ``s_total`` by one, so a target with total T appears no later than
+    layer (largest model total within bounds) - T, and the walk stops
+    there.  A witness record proves the sequence anti-canonical; the
+    negative answer carries any hard obstructions but is otherwise only
+    "unknown within these bounds".
     """
     obstructions = sequence_obstructions(d)
-    if not obstructions:
-        target = _canon_divisor(d)
-        for record in _closure(bounds):
-            if record.divisor == target:
-                return record
-    return UnknownWithinBounds(obstructions)
+    if obstructions:
+        return UnknownWithinBounds(obstructions)
+    target = _canon_divisor(d)
+    models = _models(bounds)
+    totals = [descriptors(e.pair.divisor).s_total for e in models]
+    last = max(totals, default=-1) - descriptors(target).s_total
+    if last < 0:
+        return UnknownWithinBounds(())
+    walk = _closure(
+        replace(bounds, max_moves=min(bounds.max_moves, last)),
+        models,
+        lambda entry: (entry, (), entry.pair.divisor),
+        lambda node, move, moved: (node[0], node[1] + (move,), moved),
+        lambda node: node[2],
+    )
+    for entry, moves, reached in walk:
+        if _canon_divisor(reached) == target:
+            pair = entry.pair
+            for move in moves:
+                pair = transport(pair, move)
+            return _make_record(entry.case, entry.param, moves, pair)
+    return UnknownWithinBounds(())
 
 
 def jsonl_line(record: EnumRecord) -> str:

@@ -5,8 +5,9 @@ both ends of that node; toric blow-down removes a -1 sphere and increments
 its two neighbours.  A non-toric blow-up happens away from the nodes and
 just decrements one component.  Two cycles are toric equivalent when a
 chain of toric moves connects them; searching for such a chain is done
-breadth-first over canonical forms within explicit bounds, and a negative
-answer only ever means "not found within bounds".
+breadth-first over canonical forms within explicit bounds, after a check
+that the two cycles share the monodromy trace, which toric moves keep.  A
+negative answer only ever means "not found within bounds".
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .divisor import (
     PreconditionError,
     SphereCycle,
     Torus,
+    _sphere_cycle,
     canonical_form,
 )
+from .monodromy import monodromy
 
 __all__ = [
     "LengthTooShort",
@@ -79,11 +82,11 @@ def toric_blow_up(d: SphereCycle, edge: int) -> SphereCycle:
         raise PreconditionError(f"edge index {edge} out of range for length {k}")
     s = list(d.seq)
     if k == 2:
-        return SphereCycle((s[0] - 1, -1, s[1] - 1))
+        return _sphere_cycle((s[0] - 1, -1, s[1] - 1))
     j = (edge + 1) % k
     s[edge] -= 1
     s[j] -= 1
-    return SphereCycle(tuple(s[: edge + 1] + [-1] + s[edge + 1 :]))
+    return _sphere_cycle(tuple(s[: edge + 1] + [-1] + s[edge + 1 :]))
 
 
 def toric_blow_down(d: SphereCycle, component: int) -> SphereCycle:
@@ -99,7 +102,7 @@ def toric_blow_down(d: SphereCycle, component: int) -> SphereCycle:
     s[(component - 1) % k] += 1
     s[(component + 1) % k] += 1
     del s[component]
-    return SphereCycle(tuple(s))
+    return _sphere_cycle(tuple(s))
 
 
 def non_toric_blow_up(d: Divisor, component: int) -> Divisor:
@@ -112,7 +115,7 @@ def non_toric_blow_up(d: Divisor, component: int) -> Divisor:
         raise PreconditionError(f"component index {component} out of range")
     s = list(d.seq)
     s[component] -= 1
-    return SphereCycle(tuple(s))
+    return _sphere_cycle(tuple(s))
 
 
 def apply_move(d: Divisor, move: Move) -> Divisor:
@@ -306,6 +309,13 @@ def toric_equivalent(
     least.  A returned word replays from ``a`` to a cycle whose canonical
     form equals that of ``b``.  ``None`` reports exhaustion of the bounds
     and is not a proof of inequivalence.
+
+    Cycles whose monodromy traces differ get ``None`` without a search.
+    With A(s) = ((-s, 1), (-1, 0)), A(b - 1) A(-1) A(a - 1) = A(b) A(a), so
+    a toric blow-up or blow-down away from the wrap edge keeps the monodromy
+    product; at the wrap edge, and under rotation or reversal, the product
+    is conjugated or transposed.  Every toric move keeps the trace, so no
+    toric path joins such cycles and the search would exhaust its bounds.
     """
     if max_length < 2 or max_steps < 0:
         raise PreconditionError("bounds must be positive")
@@ -313,6 +323,8 @@ def toric_equivalent(
     kb = _canon_key(b)
     if ka == kb:
         return MoveWord(a, ())
+    if monodromy(a).trace != monodromy(b).trace:
+        return None
     children = _toric_children(max_length, min_entry)
     parents: tuple[dict, dict] = ({ka: None}, {kb: None})
     fronts = [[ka], [kb]]

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import pytest
@@ -28,7 +29,7 @@ from logcy.enumeration import (
 )
 from logcy.linalg import determinant, inertia
 from logcy.monodromy import monodromy
-from logcy.moves import MoveWord
+from logcy.moves import MoveWord, NonToricBlowUp
 
 
 SMALL = Bounds(max_length=3, min_entry=-2, max_moves=2, param_range=(-1, 1))
@@ -171,11 +172,44 @@ def test_is_anticanonical_obstructed():
 
 
 def test_is_anticanonical_matches_enumeration():
-    # the early-stopping query returns the very record the full closure emits
+    # the early-stopping query returns the very record the full closure
+    # emits: provenance, transported pair and every invariant
     for r in enumerate_anticanonical(SMALL):
         w = is_anticanonical(r.divisor, SMALL)
         assert isinstance(w, EnumRecord)
         assert (w.divisor, w.case, w.param, w.moves) == (r.divisor, r.case, r.param, r.moves)
+        assert w == r  # pair, inertia, det, trace, s_total and contact as well
+
+
+def test_is_anticanonical_negatives():
+    # unobstructed in-bounds cycles outside the closure, including targets
+    # whose s_total puts them past the layer bound (9 - s_total < max_moves)
+    for bounds in (SMALL, Bounds(max_length=3, min_entry=-2, max_moves=6, param_range=(-1, 1))):
+        members = {r.divisor for r in enumerate_anticanonical(bounds)}
+        cut = 0
+        for k in (2, 3):
+            for seq in itertools.product(range(-2, 8), repeat=k):
+                d = SphereCycle(seq)
+                if canonical_form(d) in members or sequence_obstructions(d):
+                    continue
+                assert is_anticanonical(d, bounds) == UnknownWithinBounds(()), seq
+                cut += 9 - descriptors(d).s_total < bounds.max_moves
+        assert cut > 0
+
+
+def test_layer_bound_stops_before_the_memory_guard(monkeypatch):
+    # s_total 9 is the largest model total, so (3, 2) could only be a
+    # minimal model: the walk stops before the first layer is expanded
+    monkeypatch.setenv("LOGCY_MAX_MEM", "1024")
+    assert is_anticanonical(cycle(3, 2), SMALL) == UnknownWithinBounds(())
+
+
+def test_memory_cap_in_membership(monkeypatch):
+    # (1, 1) is two non-toric blow-ups away from the C2 model (2, 2)
+    assert is_anticanonical(cycle(1, 1), SMALL).moves == (NonToricBlowUp(0), NonToricBlowUp(1))
+    monkeypatch.setenv("LOGCY_MAX_MEM", "1024")
+    with pytest.raises(ResourceLimit, match="LOGCY_MAX_MEM=1024"):
+        is_anticanonical(cycle(1, 1), SMALL)
 
 
 def test_unknown_within_bounds_is_not_a_disproof():

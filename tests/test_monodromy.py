@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from logcy.divisor import SphereCycle, cycle, intersection_matrix, torus
@@ -97,6 +98,18 @@ def test_trace_det_relation_500():
         d = SphereCycle(seq)
         det = determinant(intersection_matrix(d))
         assert det == (-1) ** k * (monodromy(d).trace - 2)
+
+
+def test_blow_up_identity_symbolic():
+    # A(b - 1) A(-1) A(a - 1) = A(b) A(a): a toric blow-up at an inner edge
+    # (a, b) -> (a - 1, -1, b - 1) leaves the monodromy product unchanged
+    a, b = sympy.symbols("a b", integer=True)
+
+    def factor(s):
+        return sympy.Matrix([[-s, 1], [-1, 0]])
+
+    lhs = factor(b - 1) * factor(-1) * factor(a - 1)
+    assert (lhs - factor(b) * factor(a)).expand() == sympy.zeros(2, 2)
 
 
 def test_nondegeneracy_direction_small_exhaustive():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,17 +10,20 @@ from logcy.divisor import (
     canonical_form,
     cycle,
     descriptors,
+    dihedral_images,
     intersection_matrix,
     torus,
 )
 from logcy.linalg import determinant, solve_rational
-from logcy.monodromy import monodromy
+from logcy.monodromy import Monodromy, monodromy
+import logcy.moves as moves_module
 from logcy.moves import (
     LengthTooShort,
     NonToricBlowUp,
     NotBlowDownable,
     ToricBlowDown,
     ToricBlowUp,
+    _toric_moves,
     apply_move,
     is_toric_minimal,
     moves_from_obj,
@@ -219,3 +223,69 @@ def test_apply_move_matches_direct_calls(entries, data):
     e = data.draw(st.integers(0, k - 1))
     assert apply_move(d, ToricBlowUp(e)) == toric_blow_up(d, e)
     assert apply_move(d, NonToricBlowUp(e)) == non_toric_blow_up(d, e)
+
+
+def test_trace_kept_by_dihedral_images_and_toric_moves_exhaustive():
+    # the trace gate of toric_equivalent rests on this invariance.  Each
+    # length's set of sequences is closed under rotation and reversal, which
+    # generate the dihedral group, so one rotation step and the reversal of
+    # every sequence cover every dihedral image.
+    for k in range(2, 6):
+        traces = {
+            seq: monodromy(SphereCycle(seq)).trace
+            for seq in itertools.product(range(-4, 3), repeat=k)
+        }
+        for seq, t in traces.items():
+            assert traces[seq[1:] + seq[:1]] == t and traces[seq[::-1]] == t, seq
+            d = SphereCycle(seq)
+            for e in range(k):
+                assert monodromy(toric_blow_up(d, e)).trace == t, (seq, e)
+            if k >= 3:
+                for i in range(k):
+                    if seq[i] == -1:
+                        assert monodromy(toric_blow_down(d, i)).trace == t, (seq, i)
+
+
+def _search_walk(rng, d, steps, max_length, min_entry):
+    """A random in-bounds toric walk, as the planted pairs of the benchmark."""
+    for _ in range(steps):
+        options = list(_toric_moves(d, max_length, min_entry))
+        if not options:
+            break
+        d = apply_move(d, rng.choice(options))
+    return d
+
+
+def test_trace_gate_matches_ungated_search(monkeypatch):
+    # planted walks and random pairs in the search benchmark's bounds
+    max_length, min_entry, max_steps = 7, -6, 8
+    rng = random.Random(2024)
+    pairs = []
+    for i in range(120):
+        a = cycle(*(rng.randint(min_entry + 1, 2) for _ in range(2 + i % 3)))
+        b = _search_walk(rng, a, max_steps, max_length, min_entry)
+        pairs.append((a, SphereCycle(rng.choice(list(dihedral_images(b.seq))))))
+        k = 2 + i % 3
+        pairs.append((
+            cycle(*(rng.randint(min_entry, 2) for _ in range(k))),
+            cycle(*(rng.randint(min_entry, 2) for _ in range(k + rng.randint(0, 1)))),
+        ))
+
+    def search(a, b):
+        word = toric_equivalent(a, b, max_length=max_length, min_entry=min_entry,
+                                max_steps=max_steps)
+        return None if word is None else (word.initial, word.moves)
+
+    gated = [search(a, b) for a, b in pairs]
+    lookups = []
+
+    def constant_trace(d):
+        lookups.append(d)
+        return Monodromy(1, 0, 0, 1)
+
+    monkeypatch.setattr(moves_module, "monodromy", constant_trace)
+    ungated = [search(a, b) for a, b in pairs]
+    assert lookups  # the patch reached the gate
+    assert ungated == gated
+    assert all(w is not None for w in gated[0::2])
+    assert sum(monodromy(a).trace != monodromy(b).trace for a, b in pairs[1::2]) >= 100
