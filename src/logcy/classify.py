@@ -177,7 +177,7 @@ def exists_positive_exact_area(d: Divisor) -> bool:
     """
     q = intersection_matrix(d)
     k = len(q)
-    reduced, pivots = rref([[Fraction(x) for x in row] for row in q])
+    reduced, pivots = rref(list(q))
     basis = reduced[: len(pivots)]
     if len(basis) == k:
         return True

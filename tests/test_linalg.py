@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from logcy.divisor import cycle, intersection_matrix
-from logcy.linalg import Inertia, determinant, inertia, nullspace, rank, solve_rational
+from logcy.linalg import Inertia, determinant, inertia, nullspace, rank, rref, solve_rational
 from logcy.monodromy import monodromy
 
 
@@ -181,6 +181,110 @@ def test_rank_examples():
     assert rank([[0, 0], [0, 0]]) == 0
 
 
+def unit_triangular(rng, n, lower):
+    return [
+        [int(i == j) if (j >= i if lower else j <= i) else rng.randint(-3, 3) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_rank_of_dense_known_rank_products():
+    # P D Q with P, Q unit triangular and D diagonal of rank r: dense, with
+    # entries of at most a few bits.  An elimination without division doubles
+    # the bit length at every pivot and does not finish at these sizes.
+    rng = random.Random(81)
+    for n in range(20, 33):
+        for r in (n, n - 1, n // 2):
+            diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] + [0] * (n - r)
+            rng.shuffle(diag)
+            pd = [[p * dj for p, dj in zip(row, diag)] for row in unit_triangular(rng, n, True)]
+            assert rank(matmul(pd, unit_triangular(rng, n, False))) == r
+
+
+# --- differential tests against sympy ----------------------------------------
+
+def to_sympy(m, ncols):
+    return sympy.Matrix(len(m), ncols, [sympy.Rational(str(Fraction(x))) for row in m for x in row])
+
+
+def to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def random_small_matrix(rng):
+    nrows, ncols = rng.randint(1, 8), rng.randint(0, 9)
+    kind = rng.choice(("int", "fraction", "sparse"))
+    def entry():
+        if kind == "int":
+            return rng.randint(-5, 5)
+        if kind == "fraction":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.choice((0, 0, 0, 0, 1, -1, 2))
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if ncols and rng.random() < 0.3:
+        m[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.3:
+        zero = rng.randrange(ncols) if ncols else None
+        m = [[0 if j == zero else x for j, x in enumerate(row)] for row in m]
+    if nrows >= 3 and rng.random() < 0.4:
+        # rank deficient: one row a combination of two others
+        m[2] = [3 * x - Fraction(1, 2) * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def test_rref_and_nullspace_match_sympy():
+    rng = random.Random(91)
+    cases = [[], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0], [5]]]
+    cases += [random_small_matrix(rng) for _ in range(400)]
+    for m in cases:
+        ncols = len(m[0]) if m else 0
+        expected, pivots = to_sympy(m, ncols).rref()
+        rows = [list(row) for row in m]
+        got, got_pivots = rref(rows)
+        assert got is rows
+        assert got_pivots == list(pivots)
+        assert got == [[to_fraction(x) for x in expected.row(i)] for i in range(len(m))]
+        assert rank(m) == len(pivots)
+        if m:
+            assert nullspace(m) == [tuple(to_fraction(x) for x in v) for v in to_sympy(m, ncols).nullspace()]
+
+
+def sympy_witness(m, a):
+    """The reduced-echelon solution read off sympy's RREF of [m | a], or None."""
+    ncols = len(m[0])
+    aug = to_sympy(m, ncols).row_join(to_sympy([[v] for v in a], 1))
+    reduced, pivots = aug.rref()
+    if ncols in pivots:
+        return None
+    z = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        z[c] = to_fraction(reduced[r, ncols])
+    return tuple(z)
+
+
+def test_solve_matches_sympy_rref_on_cycle_systems():
+    # the systems of exact_on_boundary at every length the invariants
+    # benchmark draws, with positive rational areas
+    rng = random.Random(97)
+    for k in range(2, 33):
+        for seq in (
+            [rng.randint(-6, -2) if rng.random() < 0.8 else rng.randint(-1, 3) for _ in range(k)],
+            [-2] * k,
+        ):
+            q = intersection_matrix(cycle(*seq))
+            a = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(k)]
+            for rhs in (a, [1] * k):
+                z = solve_rational(q, rhs)
+                expected = sympy_witness(q, rhs)
+                assert (z is None) == (expected is None)
+                if z is not None:
+                    assert [str(x) for x in z] == [str(x) for x in expected]
+
+
 # --- solve_rational -----------------------------------------------------------
 
 def test_solve_nondegenerate():
@@ -209,17 +313,20 @@ def test_solve_dimension_mismatch():
 
 def test_solve_matches_rank_criterion_500():
     rng = random.Random(61)
-    for _ in range(500):
+    for i in range(500):
         n = rng.randint(1, 6)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        a = [rng.randint(-3, 3) for _ in range(n)]
+        ncols = n if i % 2 else rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(n)]
+        a = [rng.randint(-3, 3) if i % 3 else Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(n)]
         z = solve_rational(m, a)
         sm = sympy.Matrix(m)
         solvable = sm.rank() == sm.row_join(sympy.Matrix(n, 1, a)).rank()
         assert (z is not None) == solvable
         if z is not None:
-            for i in range(n):
-                assert sum(Fraction(m[i][j]) * z[j] for j in range(n)) == a[i]
+            for r in range(n):
+                assert sum(Fraction(m[r][j]) * z[j] for j in range(ncols)) == a[r]
+        # the reduced-echelon witness, not merely a valid one
+        assert z == sympy_witness(m, a)
 
 
 # --- nullspace ----------------------------------------------------------------
